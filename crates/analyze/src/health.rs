@@ -13,7 +13,7 @@
 use serde::Serialize;
 use twmc_anneal::{CoolingSchedule, MIN_WINDOW_SPAN, REF_T_INFINITY};
 
-use crate::stream::{RunStream, TempRec};
+use crate::stream::{RouteRec, RunStream, TempRec};
 
 /// Severity of one finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
@@ -716,6 +716,26 @@ fn check_swaps(stream: &RunStream) -> Vec<Finding> {
     findings
 }
 
+/// Phase-1 work summed over the executions that report it, as a clause
+/// for the `route.overflow` detail (empty for streams without counters).
+fn phase1_work(routes: &[RouteRec]) -> String {
+    let counted: Vec<(u64, u64, u64)> = routes
+        .iter()
+        .filter_map(|r| Some((r.searches?, r.beam_states?, r.alts_total)))
+        .collect();
+    if counted.is_empty() {
+        return String::new();
+    }
+    let searches: u64 = counted.iter().map(|c| c.0).sum();
+    let beam_states: u64 = counted.iter().map(|c| c.1).sum();
+    // Alternatives without a search: the pass reused a phase 1.
+    let reused = counted.iter().filter(|c| c.0 == 0 && c.2 > 0).count();
+    format!(
+        "; phase 1 ran {searches} path searches and scored {beam_states} partial trees \
+         ({reused} execution(s) reused an earlier enumeration)"
+    )
+}
+
 fn check_routes(stream: &RunStream) -> Vec<Finding> {
     if stream.routes.is_empty() {
         return vec![finding(
@@ -748,8 +768,9 @@ fn check_routes(stream: &RunStream) -> Vec<Finding> {
                 Severity::Pass,
                 format!(
                     "{} routing execution(s); selection never exceeded the shortest-route \
-                     overflow (removed {improved} overflow in total)",
-                    stream.routes.len()
+                     overflow (removed {improved} overflow in total){}",
+                    stream.routes.len(),
+                    phase1_work(&stream.routes)
                 ),
             ));
         }

@@ -113,6 +113,12 @@ pub struct RouteRec {
     pub alts_total: u64,
     /// Largest per-net alternative count.
     pub alts_max: u64,
+    /// Shortest-path searches phase 1 ran (`None` in streams recorded
+    /// before the counter existed; 0 when the pass reused an earlier
+    /// pass's alternatives).
+    pub searches: Option<u64>,
+    /// Partial route trees phase 1 scored (`None` like `searches`).
+    pub beam_states: Option<u64>,
     /// Overflow with every net on its shortest route.
     pub overflow_start: i64,
     /// Residual overflow after selection (eq. 24).
@@ -379,6 +385,9 @@ pub fn parse_stream(jsonl: &str) -> Result<RunStream, String> {
                     unrouted: uint(&entries, "unrouted"),
                     alts_total: uint(&entries, "alts_total"),
                     alts_max: uint(&entries, "alts_max"),
+                    searches: field(&entries, "searches").map(|_| uint(&entries, "searches")),
+                    beam_states: field(&entries, "beam_states")
+                        .map(|_| uint(&entries, "beam_states")),
                     overflow_start: int(&entries, "overflow_start"),
                     overflow: int(&entries, "overflow"),
                     total_length: int(&entries, "total_length"),
@@ -479,6 +488,28 @@ mod tests {
         assert_eq!(s.swaps[0].s_t, 1.0);
         assert!(s.swaps[0].accepted);
         assert_eq!(s.stage1_temps().len(), 1);
+    }
+
+    #[test]
+    fn reads_route_work_counters_when_present() {
+        let route = |counters: &str| {
+            format!(
+                "{{\"kind\":\"route_iter\",\"phase\":\"finalize\",\"iteration\":0,\
+                 \"nets\":8,\"unrouted\":0,\"alts_total\":20,\"alts_max\":4,{counters}\
+                 \"overflow_start\":3,\"overflow\":0,\"total_length\":120,\"attempts\":16,\
+                 \"reassignments\":5,\"usage_total\":30,\"util_hist\":[2,3,1,0,0]}}\n"
+            )
+        };
+        let jsonl = route("\"searches\":96,\"beam_states\":40,") + &route("");
+        let s = parse_stream(&jsonl).unwrap();
+        assert_eq!(
+            (s.routes[0].searches, s.routes[0].beam_states),
+            (Some(96), Some(40))
+        );
+        assert_eq!(
+            (s.routes[1].searches, s.routes[1].beam_states),
+            (None, None)
+        );
     }
 
     #[test]

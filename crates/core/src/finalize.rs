@@ -16,7 +16,7 @@ use twmc_refine::{
     routing_snapshot, spacing_constraints, spread_for_widths, static_expansions,
     verify_channel_widths, WidthReport,
 };
-use twmc_route::{global_route_with, RouterParams};
+use twmc_route::{global_route_pass, global_route_with, Phase1, RouterParams};
 
 /// The routed, width-legal chip.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,26 +51,37 @@ pub fn finalize_chip(
     router: &RouterParams,
     seed: u64,
 ) -> FinalChip {
-    finalize_chip_with(nl, state, router, seed, &mut twmc_obs::NullRecorder)
+    finalize_chip_with(nl, state, router, seed, &mut twmc_obs::NullRecorder, None)
 }
 
 /// [`finalize_chip`] with a telemetry sink: the width-derivation route
 /// and the closing route each emit a `route_iter` event (phase
 /// `"finalize"`, iterations 0 and 1). Recording never touches any RNG,
 /// so results are bit-identical to [`finalize_chip`].
+///
+/// `prior` is the phase 1 of an earlier routing pass, normally stage 2's
+/// final routing ([`twmc_refine::Stage2Result::final_phase1`]). The
+/// width-derivation route reuses its alternatives when the legalized
+/// placement's routing snapshot equals the one they were enumerated
+/// from, which leaves the result unchanged: phase 1 uses no RNG.
 pub fn finalize_chip_with(
     nl: &Netlist,
     state: &mut PlacementState<'_>,
     router: &RouterParams,
     seed: u64,
     rec: &mut dyn twmc_obs::Recorder,
+    prior: Option<Phase1>,
 ) -> FinalChip {
     let gap = router.track_spacing.round().max(1.0) as i64;
     twmc_place::legalize(state, gap, 500);
 
-    // Route the legal placement and derive required widths.
+    // Route the legal placement and derive required widths. The
+    // returned phase 1 is dropped here, before the closing route.
     let (geometry, nets) = routing_snapshot(state);
-    let routing = global_route_with(&geometry, &nets, router, seed, rec, "finalize", 0);
+    let (routing, _) = global_route_pass(
+        &geometry, &nets, router, seed, rec, "finalize", 0, None, prior,
+    )
+    .expect("routing without a token cannot be cancelled");
     let expansions = static_expansions(&routing, nl.cells().len(), router.track_spacing);
     state.set_static_expansions(expansions);
 
@@ -152,5 +163,67 @@ mod tests {
                 assert_eq!(a.overlap_area(b), 0);
             }
         }
+    }
+
+    #[test]
+    fn reusing_the_stage2_phase1_leaves_the_chip_unchanged() {
+        use twmc_anneal::CoolingSchedule;
+        use twmc_obs::{Event, SummaryRecorder};
+        use twmc_place::{place_stage1, PlaceParams};
+        use twmc_refine::{refine_placement, RefineParams};
+
+        let nl = synthesize(&SynthParams {
+            cells: 8,
+            nets: 20,
+            pins: 60,
+            seed: 5,
+            ..Default::default()
+        });
+        let place = PlaceParams {
+            attempts_per_cell: 5,
+            ..Default::default()
+        };
+        let (mut state, stage1) = place_stage1(
+            &nl,
+            &place,
+            &EstimatorParams::default(),
+            &CoolingSchedule::stage1(),
+            3,
+        );
+        let refine = RefineParams::default();
+        let mut stage2 = refine_placement(
+            &mut state,
+            &nl,
+            &place,
+            &refine,
+            stage1.s_t,
+            stage1.t_infinity,
+            4,
+        );
+        let mut fresh_state = state.clone();
+
+        let mut rec = SummaryRecorder::new();
+        let prior = stage2.final_phase1.take();
+        assert!(prior.is_some());
+        let reused = finalize_chip_with(&nl, &mut state, &refine.router, 9, &mut rec, prior);
+        let fresh = finalize_chip(&nl, &mut fresh_state, &refine.router, 9);
+        assert_eq!(reused, fresh);
+        assert_eq!(
+            crate::snapshot_placement(&nl, &state),
+            crate::snapshot_placement(&nl, &fresh_state)
+        );
+        // The width-derivation route did reuse stage 2's enumeration;
+        // the closing route, over the spread placement, did not.
+        let searches: Vec<u64> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::RouteIter(r) => Some(r.searches),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(searches.len(), 2);
+        assert_eq!(searches[0], 0);
+        assert!(searches[1] > 0);
     }
 }

@@ -160,7 +160,7 @@ pub fn run_timberwolf_with(
     span(rec, "stage1", t0);
     tspan("stage1", t0);
     let t0 = Instant::now();
-    let stage2 = refine_placement_with(
+    let mut stage2 = refine_placement_with(
         &mut state,
         nl,
         &config.place,
@@ -180,6 +180,7 @@ pub fn run_timberwolf_with(
         &config.refine.router,
         config.seed.wrapping_add(0xf17a1),
         rec,
+        stage2.final_phase1.take(),
     );
     span(rec, "finalize", t0);
     tspan("finalize", t0);

@@ -536,6 +536,7 @@ mod tests {
                 reserved_tracks: 0.0,
                 unrouted: 0,
             },
+            final_phase1: None,
             teil: 100.0,
             chip: Rect::from_wh(0, 0, 10, 10),
         }

@@ -274,7 +274,7 @@ pub fn run_timberwolf_resilient(
 
     // --- stage 2 -------------------------------------------------------
     let s2_t0 = Instant::now();
-    let stage2 = match refine_placement_resilient(
+    let mut stage2 = match refine_placement_resilient(
         &mut state,
         nl,
         &config.place,
@@ -315,6 +315,7 @@ pub fn run_timberwolf_resilient(
         &config.refine.router,
         config.seed.wrapping_add(0xf17a1),
         rec,
+        stage2.final_phase1.take(),
     );
     span(rec, "finalize", t0);
     tspan("finalize", t0);

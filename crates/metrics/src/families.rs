@@ -72,6 +72,8 @@ pub struct MetricsHub {
     pub route_iters_total: Counter,
     /// Wall time of one global-routing execution, milliseconds.
     pub route_iter_ms: Histogram,
+    /// Wall time of one net's phase-1 enumeration, milliseconds.
+    pub route_net_ms: Histogram,
     /// Channel overflow after the most recent routing execution.
     pub route_overflow: Gauge,
 
@@ -168,6 +170,11 @@ impl MetricsHub {
                     1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 5_000.0,
                 ],
             ),
+            route_net_ms: r.histogram(
+                "twmc_route_net_ms",
+                "Wall time of one net's phase-1 route enumeration in milliseconds",
+                &[0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0],
+            ),
             route_overflow: r.gauge(
                 "twmc_route_overflow",
                 "Channel overflow after the most recent routing execution",
@@ -257,6 +264,7 @@ mod tests {
             "twmc_checkpoint_write_ms",
             "twmc_route_iters_total",
             "twmc_route_iter_ms",
+            "twmc_route_net_ms",
             "twmc_route_overflow",
             "twmc_jobs",
             "twmc_queue_depth",

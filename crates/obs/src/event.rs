@@ -250,6 +250,11 @@ pub struct RouteIter {
     pub alts_total: usize,
     /// Largest per-net alternative count (≤ the configured `M`).
     pub alts_max: usize,
+    /// Shortest-path searches phase 1 ran (0 when the pass reused an
+    /// earlier pass's alternatives).
+    pub searches: u64,
+    /// Partial route trees phase 1 built and scored.
+    pub beam_states: u64,
     /// Overflow `X` with every net on its shortest route (interchange
     /// starting point).
     pub overflow_start: i64,
@@ -474,6 +479,8 @@ mod tests {
                 unrouted: 0,
                 alts_total: 16,
                 alts_max: 6,
+                searches: 40,
+                beam_states: 24,
                 overflow_start: 2,
                 overflow: 0,
                 total_length: 100,

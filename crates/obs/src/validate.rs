@@ -98,6 +98,17 @@ fn numeric_field(entries: &[(String, Value)], field: &str) -> Option<f64> {
         })
 }
 
+/// An optional non-negative integer field: `Ok(None)` when absent,
+/// `Err` when present with any other value.
+fn count_field(entries: &[(String, Value)], field: &str) -> Result<Option<u64>, String> {
+    match entries.iter().find(|(k, _)| k == field).map(|(_, v)| v) {
+        None => Ok(None),
+        Some(Value::UInt(n)) => Ok(Some(*n)),
+        Some(Value::Int(n)) if *n >= 0 => Ok(Some(*n as u64)),
+        Some(_) => Err(format!("`{field}` is not a non-negative integer")),
+    }
+}
+
 fn string_field(entries: &[(String, Value)], field: &str) -> Option<String> {
     entries.iter().find(|(k, _)| k == field).and_then(|(_, v)| {
         if let Value::Str(s) = v {
@@ -194,6 +205,30 @@ pub fn validate_jsonl(text: &str) -> Result<StreamStats, String> {
                     }
                 }
                 last_temp.insert(key, (t, lineno));
+            }
+            "route_iter" => {
+                // Phase-1 work counters: absent from streams recorded
+                // before they existed, otherwise present together; no
+                // partial tree is scored without a search.
+                let count =
+                    |field| count_field(&entries, field).map_err(|e| format!("line {lineno}: {e}"));
+                match (count("searches")?, count("beam_states")?) {
+                    (None, None) => {}
+                    (Some(searches), Some(beam_states)) => {
+                        if beam_states > 0 && searches == 0 {
+                            return Err(format!(
+                                "line {lineno}: `route_iter` scored {beam_states} partial \
+                                 trees without a search"
+                            ));
+                        }
+                    }
+                    _ => {
+                        return Err(format!(
+                            "line {lineno}: `route_iter` carries only one of `searches` \
+                             and `beam_states`"
+                        ))
+                    }
+                }
             }
             "run_interrupted" => {
                 if run_start_line == 0 {
@@ -494,6 +529,31 @@ mod tests {
         );
         assert!(validate_jsonl("[1]").is_err(), "not an object");
         assert!(validate_jsonl("{oops").is_err());
+    }
+
+    fn route_iter(counters: &str) -> String {
+        format!(
+            "{{\"kind\":\"route_iter\",\"phase\":\"final\",\"iteration\":3,\"nets\":4,\
+             \"unrouted\":0,{counters}\"overflow_start\":1,\"overflow\":0,\
+             \"total_length\":50,\"attempts\":3,\"reassignments\":1,\"usage_total\":9,\
+             \"util_hist\":[1,2,0,0,0]}}"
+        )
+    }
+
+    #[test]
+    fn checks_route_work_counters() {
+        // Streams recorded before the counters existed stay valid; a
+        // reused phase 1 reports no work at all.
+        validate_jsonl(&route_iter("")).unwrap();
+        validate_jsonl(&route_iter("\"searches\":40,\"beam_states\":24,")).unwrap();
+        validate_jsonl(&route_iter("\"searches\":0,\"beam_states\":0,")).unwrap();
+
+        let err = validate_jsonl(&route_iter("\"searches\":40,")).unwrap_err();
+        assert!(err.contains("only one of"), "{err}");
+        let err = validate_jsonl(&route_iter("\"searches\":0,\"beam_states\":3,")).unwrap_err();
+        assert!(err.contains("without a search"), "{err}");
+        let err = validate_jsonl(&route_iter("\"searches\":-1,\"beam_states\":0,")).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("searches"), "{err}");
     }
 
     #[test]

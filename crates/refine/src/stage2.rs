@@ -18,7 +18,7 @@ use twmc_geom::Rect;
 use twmc_netlist::Netlist;
 use twmc_obs::{CancelToken, Event, NullRecorder, Recorder, RunScope, StageSpan, StopReason};
 use twmc_place::{run_annealing_cancellable, MoveSet, PlaceParams, PlacementState};
-use twmc_route::{global_route_cancellable, GlobalRouting, NetPins, PlacedGeometry, RouterParams};
+use twmc_route::{global_route_pass, GlobalRouting, NetPins, Phase1, PlacedGeometry, RouterParams};
 
 use crate::static_expansions;
 
@@ -73,6 +73,10 @@ pub struct Stage2Result {
     /// A final routing of the refined placement (for reporting and
     /// downstream detailed routing).
     pub final_routing: GlobalRouting,
+    /// Phase 1 of the final routing, with the routing snapshot it was
+    /// enumerated from. Chip finalization takes it to skip enumerating
+    /// the same snapshot again.
+    pub final_phase1: Option<Phase1>,
     /// Final TEIL.
     pub teil: f64,
     /// Final effective chip bounding box.
@@ -231,7 +235,7 @@ pub fn refine_placement_resilient(
         span(rec, "channel_definition", k, t0);
         tspan("channel_definition", "route", t0);
         let t0 = Instant::now();
-        let routing = global_route_cancellable(
+        let (routing, _) = global_route_pass(
             &geometry,
             &nets,
             &params.router,
@@ -239,7 +243,8 @@ pub fn refine_placement_resilient(
             rec,
             "stage2",
             k as u64,
-            cancel,
+            Some(cancel),
+            None,
         )?;
         let max_density = routing.node_density.iter().copied().max().unwrap_or(0);
 
@@ -288,7 +293,7 @@ pub fn refine_placement_resilient(
     let gap = params.router.track_spacing.round().max(1.0) as i64;
     twmc_place::legalize(state, gap, 500);
     let (geometry, nets) = routing_snapshot(state);
-    let final_routing = global_route_cancellable(
+    let (final_routing, final_phase1) = global_route_pass(
         &geometry,
         &nets,
         &params.router,
@@ -296,7 +301,8 @@ pub fn refine_placement_resilient(
         rec,
         "final",
         params.refinements as u64,
-        cancel,
+        Some(cancel),
+        None,
     )?;
     span(rec, "final_routing", params.refinements, t0);
     tspan("final_routing", "route", t0);
@@ -306,6 +312,7 @@ pub fn refine_placement_resilient(
         chip: state.effective_bbox(),
         records,
         final_routing,
+        final_phase1: Some(final_phase1),
     })
 }
 

@@ -68,7 +68,7 @@ impl CriticalRegion {
 }
 
 /// A placed circuit, as the channel definer sees it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedGeometry {
     /// Placed cell geometries: tile set plus absolute lower-left corner.
     pub cells: Vec<(TileSet, Point)>,

@@ -53,6 +53,7 @@ pub use channel::{critical_regions, ChannelKind, CriticalRegion, EdgeRef, Placed
 pub use graph::{build_channel_graph, ChannelGraph, ChannelNode, GraphEdge};
 pub use mpaths::{dijkstra, k_shortest_from_set, k_shortest_paths, Path};
 pub use router::{
-    global_route, global_route_cancellable, global_route_with, GlobalRouting, NetPins, RouterParams,
+    global_route, global_route_pass, global_route_with, GlobalRouting, NetPins, Phase1,
+    RouterParams,
 };
 pub use steiner::{enumerate_route_trees, RouteTree};

@@ -8,9 +8,10 @@ use rand::SeedableRng;
 use twmc_geom::Point;
 use twmc_obs::{CancelToken, Event, NullRecorder, Recorder, RouteIter, StopReason};
 
+use crate::mpaths::PathSearch;
+use crate::steiner::route_trees;
 use crate::{
-    assign_routes, build_channel_graph, enumerate_route_trees, Assignment, ChannelGraph,
-    PlacedGeometry, RouteTree,
+    assign_routes, build_channel_graph, Assignment, ChannelGraph, PlacedGeometry, RouteTree,
 };
 
 /// Global router parameters.
@@ -124,43 +125,29 @@ pub fn global_route_with(
     phase: &'static str,
     iteration: u64,
 ) -> GlobalRouting {
-    match route_inner(geometry, nets, params, seed, rec, phase, iteration, None) {
-        Ok(r) => r,
+    match global_route_pass(
+        geometry, nets, params, seed, rec, phase, iteration, None, None,
+    ) {
+        Ok((routing, _)) => routing,
         Err(_) => unreachable!("routing without a token cannot be cancelled"),
     }
 }
 
-/// [`global_route_with`] under a cancellation token, polled once per net
-/// during the phase-1 enumeration (the dominant cost for large nets).
-/// `Err` means the routing was abandoned mid-flight — no partial result
-/// is returned, since a half-enumerated alternative set would bias the
-/// phase-2 selection. A run that is not stopped is bit-identical to
-/// [`global_route_with`].
+/// One routing pass, [`global_route_with`] with two additions.
+///
+/// * `cancel` is polled once per net during the phase-1 enumeration
+///   (the dominant cost for large nets). `Err` means the routing was
+///   abandoned mid-flight — no partial result is returned, since a
+///   half-enumerated alternative set would bias the phase-2 selection.
+/// * The pass hands back its [`Phase1`], and starts from `prior` when
+///   that was enumerated from input equal to `geometry`, `nets` and
+///   `params`: its alternatives are reused and only phase 2 runs. The
+///   `route_iter` event of such a pass reports no phase-1 work.
+///
+/// Phase 1 uses no RNG, so a pass that is not stopped is bit-identical
+/// to [`global_route_with`] whether or not it reuses `prior`.
 #[allow(clippy::too_many_arguments)]
-pub fn global_route_cancellable(
-    geometry: &PlacedGeometry,
-    nets: &[NetPins],
-    params: &RouterParams,
-    seed: u64,
-    rec: &mut dyn Recorder,
-    phase: &'static str,
-    iteration: u64,
-    cancel: &CancelToken,
-) -> Result<GlobalRouting, StopReason> {
-    route_inner(
-        geometry,
-        nets,
-        params,
-        seed,
-        rec,
-        phase,
-        iteration,
-        Some(cancel),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn route_inner(
+pub fn global_route_pass(
     geometry: &PlacedGeometry,
     nets: &[NetPins],
     params: &RouterParams,
@@ -169,7 +156,8 @@ fn route_inner(
     phase: &'static str,
     iteration: u64,
     cancel: Option<&CancelToken>,
-) -> Result<GlobalRouting, StopReason> {
+    prior: Option<Phase1>,
+) -> Result<(GlobalRouting, Phase1), StopReason> {
     let route_t0 = std::time::Instant::now();
     // Span lane for this routing execution: one `route_net` span per
     // net's phase-1 enumeration, a `route_select` span for the phase-2
@@ -178,80 +166,18 @@ fn route_inner(
     // touched, so routing stays bit-identical.
     let tracer = rec.tracer().cloned();
     let mut lane = tracer.as_ref().map(|tr| tr.lane("route"));
-    let graph = build_channel_graph(geometry, params.track_spacing);
+    let (phase1, work) = match prior {
+        Some(p) if p.geometry == *geometry && p.nets == nets && p.params == *params => {
+            (p, Phase1Work::default())
+        }
+        _ => enumerate_phase1(geometry, nets, params, rec, &mut lane, cancel)?,
+    };
+    let graph = &phase1.graph;
+    let alternatives = &phase1.alternatives;
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut alternatives: Vec<Vec<RouteTree>> = Vec::with_capacity(nets.len());
-    let mut net_points: Vec<Vec<Vec<(usize, i64, Point)>>> = Vec::with_capacity(nets.len());
-    for net in nets {
-        if let Some(reason) = cancel.and_then(|c| c.check()) {
-            return Err(reason);
-        }
-        let net_t0 = lane.as_ref().map(|_| std::time::Instant::now());
-        if graph.is_empty() {
-            alternatives.push(Vec::new());
-            net_points.push(Vec::new());
-            continue;
-        }
-        // Per connection point: candidate attach nodes with the pin's
-        // perpendicular-projection offset (distance from the pin to the
-        // channel node), which contributes to the route length (§4.1).
-        let points: Vec<Vec<(usize, i64, Point)>> = net
-            .points
-            .iter()
-            .map(|cands| {
-                let mut nodes: Vec<(usize, i64, Point)> = cands
-                    .iter()
-                    .filter_map(|&p| {
-                        graph
-                            .attach_pin(p)
-                            .map(|n| (n, graph.nodes[n].center.manhattan(p), p))
-                    })
-                    .collect();
-                nodes.sort_unstable_by_key(|&(n, off, _)| (n, off));
-                // Keep the smallest offset per node.
-                nodes.dedup_by_key(|&mut (n, _, _)| n);
-                nodes
-            })
-            .filter(|nodes| !nodes.is_empty())
-            .collect();
-        if points.len() < 2 {
-            alternatives.push(Vec::new());
-            net_points.push(Vec::new());
-            continue;
-        }
-        let node_lists: Vec<Vec<usize>> = points
-            .iter()
-            .map(|p| p.iter().map(|&(n, _, _)| n).collect())
-            .collect();
-        let mut trees =
-            enumerate_route_trees(&graph, &node_lists, params.m_alternatives, params.per_level);
-        // Charge each tree the offsets of the candidates it actually
-        // connects (the cheapest in-tree candidate per point), then
-        // re-rank: this is how electrically-equivalent pins shorten nets.
-        for tree in &mut trees {
-            let mut extra = 0;
-            for cands in &points {
-                let best = cands
-                    .iter()
-                    .filter(|(n, _, _)| tree.nodes.binary_search(n).is_ok())
-                    .map(|&(_, off, _)| off)
-                    .min()
-                    .unwrap_or(0);
-                extra += best;
-            }
-            tree.length += extra;
-        }
-        trees.sort_by(|a, b| a.length.cmp(&b.length).then(a.edges.cmp(&b.edges)));
-        alternatives.push(trees);
-        net_points.push(points);
-        if let (Some(lane), Some(t0)) = (lane.as_mut(), net_t0) {
-            lane.span("route_net", "route", t0, t0.elapsed());
-        }
-    }
-
     let select_t0 = lane.as_ref().map(|_| std::time::Instant::now());
-    let assignment = assign_routes(&graph, &alternatives, &mut rng)
+    let assignment = assign_routes(graph, alternatives, &mut rng)
         .expect("alternatives enumerated on this graph");
     if let (Some(lane), Some(t0)) = (lane.as_mut(), select_t0) {
         lane.span("route_select", "route", t0, t0.elapsed());
@@ -274,7 +200,7 @@ fn route_inner(
         for &n in &tree.nodes {
             node_density[n] += 1;
         }
-        let attach: Vec<(usize, Point)> = net_points[net]
+        let attach: Vec<(usize, Point)> = phase1.net_points[net]
             .iter()
             .filter_map(|cands| {
                 cands
@@ -314,6 +240,8 @@ fn route_inner(
             unrouted,
             alts_total: alternatives.iter().map(|a| a.len()).sum(),
             alts_max: alternatives.iter().map(|a| a.len()).max().unwrap_or(0),
+            searches: work.searches,
+            beam_states: work.beam_states,
             overflow_start: assignment.overflow_start,
             overflow: assignment.overflow,
             total_length: assignment.total_length,
@@ -334,15 +262,145 @@ fn route_inner(
         lane.span("route_iter", "route", route_t0, route_t0.elapsed());
     }
 
-    Ok(GlobalRouting {
-        graph,
+    let routing = GlobalRouting {
+        graph: graph.clone(),
         routes,
         assignment,
         node_density,
         pin_attachments,
         reserved_tracks: params.reserved_tracks,
         unrouted,
-    })
+    };
+    Ok((routing, phase1))
+}
+
+/// Phase 1 of a routing pass: the channel graph and every net's
+/// alternative route trees, kept with the input they were enumerated
+/// from so that a pass over equal input can reuse them
+/// ([`global_route_pass`]).
+#[derive(Debug, Clone)]
+pub struct Phase1 {
+    geometry: PlacedGeometry,
+    nets: Vec<NetPins>,
+    params: RouterParams,
+    graph: ChannelGraph,
+    /// Per net, the alternatives sorted by length (empty: unroutable).
+    alternatives: Vec<Vec<RouteTree>>,
+    /// Per net and connection point: candidate attach nodes with the
+    /// pin's projection offset and position.
+    net_points: Vec<Vec<Vec<(usize, i64, Point)>>>,
+}
+
+/// Work counters of one phase-1 enumeration.
+#[derive(Debug, Clone, Copy, Default)]
+struct Phase1Work {
+    searches: u64,
+    beam_states: u64,
+}
+
+fn enumerate_phase1(
+    geometry: &PlacedGeometry,
+    nets: &[NetPins],
+    params: &RouterParams,
+    rec: &mut dyn Recorder,
+    lane: &mut Option<twmc_obs::Lane>,
+    cancel: Option<&CancelToken>,
+) -> Result<(Phase1, Phase1Work), StopReason> {
+    let graph = build_channel_graph(geometry, params.track_spacing);
+    let hub = rec.hub().cloned();
+    let timed = lane.is_some() || hub.is_some();
+    let mut search = PathSearch::new(&graph);
+    let mut alternatives: Vec<Vec<RouteTree>> = Vec::with_capacity(nets.len());
+    let mut net_points: Vec<Vec<Vec<(usize, i64, Point)>>> = Vec::with_capacity(nets.len());
+    for net in nets {
+        if let Some(reason) = cancel.and_then(|c| c.check()) {
+            return Err(reason);
+        }
+        let net_t0 = timed.then(std::time::Instant::now);
+        if graph.is_empty() {
+            alternatives.push(Vec::new());
+            net_points.push(Vec::new());
+            continue;
+        }
+        // Per connection point: candidate attach nodes with the pin's
+        // perpendicular-projection offset (distance from the pin to the
+        // channel node), which contributes to the route length (§4.1).
+        let points: Vec<Vec<(usize, i64, Point)>> = net
+            .points
+            .iter()
+            .map(|cands| {
+                let mut nodes: Vec<(usize, i64, Point)> = cands
+                    .iter()
+                    .filter_map(|&p| {
+                        graph
+                            .attach_pin(p)
+                            .map(|n| (n, graph.nodes[n].center.manhattan(p), p))
+                    })
+                    .collect();
+                nodes.sort_unstable_by_key(|&(n, off, _)| (n, off));
+                // Keep the smallest offset per node.
+                nodes.dedup_by_key(|&mut (n, _, _)| n);
+                nodes
+            })
+            .filter(|nodes| !nodes.is_empty())
+            .collect();
+        if points.len() < 2 {
+            alternatives.push(Vec::new());
+            net_points.push(Vec::new());
+            continue;
+        }
+        let node_lists: Vec<Vec<usize>> = points
+            .iter()
+            .map(|p| p.iter().map(|&(n, _, _)| n).collect())
+            .collect();
+        let mut trees = route_trees(
+            &mut search,
+            &node_lists,
+            params.m_alternatives,
+            params.per_level,
+        );
+        // Charge each tree the offsets of the candidates it actually
+        // connects (the cheapest in-tree candidate per point), then
+        // re-rank: this is how electrically-equivalent pins shorten nets.
+        for tree in &mut trees {
+            let mut extra = 0;
+            for cands in &points {
+                let best = cands
+                    .iter()
+                    .filter(|(n, _, _)| tree.nodes.binary_search(n).is_ok())
+                    .map(|&(_, off, _)| off)
+                    .min()
+                    .unwrap_or(0);
+                extra += best;
+            }
+            tree.length += extra;
+        }
+        trees.sort_by(|a, b| a.length.cmp(&b.length).then(a.edges.cmp(&b.edges)));
+        alternatives.push(trees);
+        net_points.push(points);
+        if let Some(t0) = net_t0 {
+            let elapsed = t0.elapsed();
+            if let Some(lane) = lane.as_mut() {
+                lane.span("route_net", "route", t0, elapsed);
+            }
+            if let Some(hub) = &hub {
+                hub.route_net_ms.observe(elapsed.as_secs_f64() * 1e3);
+            }
+        }
+    }
+    let work = Phase1Work {
+        searches: search.searches,
+        beam_states: search.beam_states,
+    };
+    let phase1 = Phase1 {
+        geometry: geometry.clone(),
+        nets: nets.to_vec(),
+        params: params.clone(),
+        graph,
+        alternatives,
+        net_points,
+    };
+    Ok((phase1, work))
 }
 
 #[cfg(test)]

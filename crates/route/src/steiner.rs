@@ -9,9 +9,10 @@
 //! trees (documented in DESIGN.md); for small per-level counts this
 //! explores the same alternatives the paper's recursion stores.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
-use crate::{dijkstra, k_shortest_from_set, ChannelGraph};
+use crate::mpaths::PathSearch;
+use crate::ChannelGraph;
 
 /// One complete route (a Steiner tree over channel-graph nodes) for a net.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,16 +26,11 @@ pub struct RouteTree {
     pub length: i64,
 }
 
-impl RouteTree {
-    fn signature(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-}
-
+/// A tree under construction; `nodes` and `edges` are kept sorted.
 #[derive(Debug, Clone)]
 struct PartialTree {
-    nodes: BTreeSet<usize>,
-    edges: BTreeSet<(usize, usize)>,
+    nodes: Vec<usize>,
+    edges: Vec<(usize, usize)>,
     length: i64,
 }
 
@@ -43,7 +39,8 @@ impl PartialTree {
         let mut out = self.clone();
         for w in path.windows(2) {
             let key = (w[0].min(w[1]), w[0].max(w[1]));
-            if out.edges.insert(key) {
+            if let Err(at) = out.edges.binary_search(&key) {
+                out.edges.insert(at, key);
                 let e = graph
                     .edge_between(w[0], w[1])
                     .expect("paths follow graph edges");
@@ -51,15 +48,17 @@ impl PartialTree {
             }
         }
         for &n in path {
-            out.nodes.insert(n);
+            if let Err(at) = out.nodes.binary_search(&n) {
+                out.nodes.insert(at, n);
+            }
         }
         out
     }
 
     fn into_route(self) -> RouteTree {
         RouteTree {
-            nodes: self.nodes.into_iter().collect(),
-            edges: self.edges.into_iter().collect(),
+            nodes: self.nodes,
+            edges: self.edges,
             length: self.length,
         }
     }
@@ -81,57 +80,47 @@ pub fn enumerate_route_trees(
     m: usize,
     per_level: usize,
 ) -> Vec<RouteTree> {
+    route_trees(&mut PathSearch::new(graph), points, m, per_level)
+}
+
+/// [`enumerate_route_trees`] on the scratch state of `search`, which
+/// also counts the searches run and the partial trees scored.
+pub(crate) fn route_trees(
+    search: &mut PathSearch<'_>,
+    points: &[Vec<usize>],
+    m: usize,
+    per_level: usize,
+) -> Vec<RouteTree> {
+    let graph = search.graph();
     if graph.is_empty() || points.is_empty() || m == 0 {
         return Vec::new();
     }
     let beam_width = m.max(per_level * per_level).min(64);
 
-    // Start states: each candidate of the first connection point.
+    // Start states: each candidate of the first connection point. Every
+    // state connects one more point per step, so all finish together.
     let mut beam: Vec<(PartialTree, Vec<usize>)> = points[0]
         .iter()
         .map(|&n| {
-            let mut nodes = BTreeSet::new();
-            nodes.insert(n);
-            (
-                PartialTree {
-                    nodes,
-                    edges: BTreeSet::new(),
-                    length: 0,
-                },
-                (1..points.len()).collect::<Vec<usize>>(),
-            )
+            let tree = PartialTree {
+                nodes: vec![n],
+                edges: Vec::new(),
+                length: 0,
+            };
+            (tree, (1..points.len()).collect())
         })
         .collect();
 
-    while beam.iter().any(|(_, rest)| !rest.is_empty()) {
+    for _ in 1..points.len() {
         let mut next_beam: Vec<(PartialTree, Vec<usize>)> = Vec::new();
         for (tree, rest) in &beam {
-            if rest.is_empty() {
-                next_beam.push((tree.clone(), rest.clone()));
-                continue;
-            }
             // Prim: nearest unconnected point next.
-            let sources: Vec<usize> = tree.nodes.iter().copied().collect();
-            let dist = dijkstra(graph, &sources);
-            let (pos, _) = rest
-                .iter()
-                .enumerate()
-                .map(|(k, &pi)| {
-                    let d = points[pi]
-                        .iter()
-                        .map(|&c| dist[c])
-                        .min()
-                        .unwrap_or(i64::MAX);
-                    (k, d)
-                })
-                .min_by_key(|&(_, d)| d)
-                .expect("rest nonempty");
+            let (pos, first) = search.prim_step(&tree.nodes, points, rest);
             let point = rest[pos];
             let mut new_rest = rest.clone();
             new_rest.remove(pos);
-
-            let paths = k_shortest_from_set(graph, &sources, &points[point], per_level);
-            for p in paths {
+            for p in search.paths_from(first, &tree.nodes, &points[point], per_level) {
+                search.beam_states += 1;
                 next_beam.push((tree.absorb_path(graph, &p.nodes), new_rest.clone()));
             }
         }
@@ -139,26 +128,25 @@ pub fn enumerate_route_trees(
             // Some point is unreachable.
             return Vec::new();
         }
-        // Keep the best `beam_width` states, deduplicated by edge set.
+        // Keep the best `beam_width` states, deduplicated by edge and
+        // node set (first occurrence wins).
         next_beam.sort_by_key(|(t, _)| t.length);
-        type TreeKey = (BTreeSet<(usize, usize)>, BTreeSet<usize>);
-        let mut seen: Vec<TreeKey> = Vec::new();
-        next_beam.retain(|(t, _)| {
-            let key = (t.edges.clone(), t.nodes.clone());
-            if seen.contains(&key) {
-                false
-            } else {
-                seen.push(key);
-                true
-            }
-        });
+        let keep: Vec<bool> = {
+            let mut seen = HashSet::new();
+            next_beam
+                .iter()
+                .map(|(t, _)| seen.insert((t.edges.as_slice(), t.nodes.as_slice())))
+                .collect()
+        };
+        let mut keep = keep.into_iter();
+        next_beam.retain(|_| keep.next().unwrap_or(false));
         next_beam.truncate(beam_width);
         beam = next_beam;
     }
 
     let mut routes: Vec<RouteTree> = beam.into_iter().map(|(t, _)| t.into_route()).collect();
     routes.sort_by(|a, b| a.length.cmp(&b.length).then(a.edges.cmp(&b.edges)));
-    routes.dedup_by(|a, b| a.signature() == b.signature());
+    routes.dedup_by(|a, b| a.edges == b.edges);
     routes.truncate(m);
     routes
 }
@@ -166,7 +154,8 @@ pub fn enumerate_route_trees(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_channel_graph, PlacedGeometry};
+    use crate::{build_channel_graph, dijkstra, PlacedGeometry};
+    use std::collections::BTreeSet;
     use twmc_geom::{Point, Rect, TileSet};
 
     fn grid_graph() -> ChannelGraph {

@@ -1,6 +1,9 @@
 //! Property-based tests for the router: the Yen/Lawler enumeration is
-//! checked against brute-force simple-path enumeration, and the phase-2
-//! assignment invariants are exercised on random instances.
+//! checked against brute-force simple-path enumeration and against the
+//! reference enumerator in `reference/`, and the phase-2 assignment
+//! invariants are exercised on random instances.
+
+mod reference;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,13 +12,43 @@ use std::collections::HashSet;
 
 use twmc_geom::{Point, Rect, TileSet};
 use twmc_route::{
-    assign_routes, build_channel_graph, enumerate_route_trees, k_shortest_paths, ChannelGraph,
-    PlacedGeometry, RouteTree,
+    assign_routes, build_channel_graph, critical_regions, enumerate_route_trees,
+    k_shortest_from_set, k_shortest_paths, ChannelGraph, PlacedGeometry, RouteTree,
 };
 
 /// A small random legal placement (grid with some cells removed), giving
 /// varied channel graphs.
 fn arb_graph() -> impl Strategy<Value = ChannelGraph> {
+    arb_geometry().prop_map(|geometry| build_channel_graph(&geometry, 2.0))
+}
+
+/// Two random placements far apart: a channel graph with two components.
+fn arb_split_graph() -> impl Strategy<Value = ChannelGraph> {
+    (arb_geometry(), arb_geometry()).prop_map(|(a, mut b)| {
+        for (_, at) in &mut b.cells {
+            *at = Point::new(at.x + 1000, at.y);
+        }
+        b.core = b.core.translate(Point::new(1000, 0));
+        let mut regions = critical_regions(&a);
+        regions.extend(critical_regions(&b));
+        ChannelGraph::build(regions, 2.0)
+    })
+}
+
+/// Connection points as raw picks: 1–6 points of 1–3 candidates each
+/// (reduced modulo the node count by [`points_on`]).
+fn arb_picks() -> impl Strategy<Value = Vec<Vec<u16>>> {
+    proptest::collection::vec(proptest::collection::vec(any::<u16>(), 1..4), 1..7)
+}
+
+fn points_on(g: &ChannelGraph, picks: &[Vec<u16>]) -> Vec<Vec<usize>> {
+    picks
+        .iter()
+        .map(|p| p.iter().map(|&c| c as usize % g.len()).collect())
+        .collect()
+}
+
+fn arb_geometry() -> impl Strategy<Value = PlacedGeometry> {
     (2usize..4, 2usize..4, any::<u16>()).prop_map(|(nx, ny, mask)| {
         let mut cells = Vec::new();
         for gy in 0..ny {
@@ -34,13 +67,10 @@ fn arb_graph() -> impl Strategy<Value = ChannelGraph> {
         }
         let w = nx as i64 * 14 + 6;
         let h = ny as i64 * 14 + 6;
-        build_channel_graph(
-            &PlacedGeometry {
-                cells,
-                core: Rect::from_wh(-6, -6, w + 6, h + 6),
-            },
-            2.0,
-        )
+        PlacedGeometry {
+            cells,
+            core: Rect::from_wh(-6, -6, w + 6, h + 6),
+        }
     })
 }
 
@@ -236,5 +266,84 @@ proptest! {
             g.nodes[attached].region.separation() <= g.nodes[node].region.separation()
                 || !g.nodes[node].region.rect.contains(center)
         );
+    }
+}
+
+proptest! {
+    // The library enumerator must reproduce the reference one exactly:
+    // same trees, same order.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn trees_match_reference_on_multi_candidate_points(
+        g in arb_graph(),
+        picks in arb_picks(),
+        m in 1usize..24,
+        per_level in 1usize..6,
+    ) {
+        prop_assume!(!g.is_empty());
+        let points = points_on(&g, &picks);
+        prop_assert_eq!(
+            enumerate_route_trees(&g, &points, m, per_level),
+            reference::enumerate_route_trees(&g, &points, m, per_level)
+        );
+    }
+
+    #[test]
+    fn trees_match_reference_when_a_candidate_is_in_the_tree(
+        g in arb_graph(),
+        picks in arb_picks(),
+        extra in any::<u16>(),
+        per_level in 1usize..6,
+    ) {
+        prop_assume!(!g.is_empty());
+        let mut points = points_on(&g, &picks);
+        // A later point offers the first point's node (already in every
+        // start tree) next to a node elsewhere.
+        points.push(vec![extra as usize % g.len(), points[0][0]]);
+        prop_assert_eq!(
+            enumerate_route_trees(&g, &points, 20, per_level),
+            reference::enumerate_route_trees(&g, &points, 20, per_level)
+        );
+    }
+
+    #[test]
+    fn trees_match_reference_with_unreachable_points(
+        g in arb_split_graph(),
+        picks in arb_picks(),
+        per_level in 1usize..6,
+    ) {
+        let points = points_on(&g, &picks);
+        let trees = enumerate_route_trees(&g, &points, 20, per_level);
+        prop_assert_eq!(&trees, &reference::enumerate_route_trees(&g, &points, 20, per_level));
+        // Candidates on both sides of the split: only a point with a
+        // candidate on the first point's side can be connected.
+        prop_assert!(points.len() > 1 || !trees.is_empty());
+    }
+
+    #[test]
+    fn single_point_trees_match_reference(g in arb_graph(), picks in arb_picks()) {
+        prop_assume!(!g.is_empty());
+        let points = points_on(&g, &picks[..1]);
+        prop_assert_eq!(
+            enumerate_route_trees(&g, &points, 20, 4),
+            reference::enumerate_route_trees(&g, &points, 20, 4)
+        );
+    }
+
+    #[test]
+    fn k_shortest_from_set_matches_reference(
+        g in arb_split_graph(),
+        picks in proptest::collection::vec(proptest::collection::vec(any::<u16>(), 1..5), 2..3),
+    ) {
+        let points = points_on(&g, &picks);
+        let (sources, targets) = (&points[0], &points[1]);
+        for k in 1..=8 {
+            prop_assert_eq!(
+                k_shortest_from_set(&g, sources, targets, k),
+                reference::k_shortest_from_set(&g, sources, targets, k),
+                "k = {}", k
+            );
+        }
     }
 }

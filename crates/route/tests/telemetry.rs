@@ -5,7 +5,9 @@
 use twmc_geom::{Point, Rect, TileSet};
 use twmc_obs::validate::{expect_kinds, validate_jsonl};
 use twmc_obs::{Event, JsonlRecorder, SummaryRecorder};
-use twmc_route::{global_route, global_route_with, NetPins, PlacedGeometry, RouterParams};
+use twmc_route::{
+    global_route, global_route_pass, global_route_with, NetPins, PlacedGeometry, RouterParams,
+};
 
 /// A 2×2 cell grid with enough nets to congest the center channels.
 fn congested_instance() -> (PlacedGeometry, Vec<NetPins>) {
@@ -88,6 +90,71 @@ fn route_iter_matches_the_returned_routing() {
     // most M per net.
     assert!(ev.alts_total >= nets.len() - ev.unrouted);
     assert!(ev.alts_max <= params.m_alternatives);
+    // Phase-1 work: at least one search per routed net, and every
+    // alternative is a scored partial tree of the net's last Prim step.
+    assert!(ev.searches >= (nets.len() - ev.unrouted) as u64);
+    assert!(ev.beam_states >= ev.alts_total as u64);
+}
+
+#[test]
+fn reusing_phase1_routes_identically_and_reports_no_search() {
+    let (geometry, nets) = congested_instance();
+    let params = RouterParams {
+        m_alternatives: 6,
+        per_level: 3,
+        ..Default::default()
+    };
+    let mut rec = SummaryRecorder::new();
+    let (first, phase1) = global_route_pass(
+        &geometry, &nets, &params, 7, &mut rec, "final", 3, None, None,
+    )
+    .expect("no token");
+    let (again, _) = global_route_pass(
+        &geometry,
+        &nets,
+        &params,
+        11,
+        &mut rec,
+        "finalize",
+        0,
+        None,
+        Some(phase1.clone()),
+    )
+    .expect("no token");
+    let fresh = global_route(&geometry, &nets, &params, 11);
+    assert_eq!(again.routes, fresh.routes);
+    assert_eq!(again.assignment, fresh.assignment);
+    assert_eq!(again.pin_attachments, fresh.pin_attachments);
+    assert_eq!(again.node_density, fresh.node_density);
+
+    let [Event::RouteIter(enumerated), Event::RouteIter(reused)] = rec.events() else {
+        panic!("expected two route_iter events");
+    };
+    assert!(enumerated.searches > 0 && enumerated.beam_states > 0);
+    assert_eq!((reused.searches, reused.beam_states), (0, 0));
+    assert_eq!(reused.alts_total, enumerated.alts_total);
+    assert_eq!(first.graph.len(), again.graph.len());
+
+    // Different input: the earlier phase 1 is not reused.
+    let mut moved = geometry.clone();
+    moved.cells[0].1 = twmc_geom::Point::new(moved.cells[0].1.x - 1, moved.cells[0].1.y);
+    let mut rec = SummaryRecorder::new();
+    let _ = global_route_pass(
+        &moved,
+        &nets,
+        &params,
+        11,
+        &mut rec,
+        "finalize",
+        0,
+        None,
+        Some(phase1),
+    )
+    .expect("no token");
+    let Event::RouteIter(ev) = &rec.events()[0] else {
+        panic!("expected a route_iter event");
+    };
+    assert!(ev.searches > 0);
 }
 
 #[test]

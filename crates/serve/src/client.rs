@@ -417,6 +417,38 @@ mod tests {
         assert!((2..=6).any(|a| other.delay(a) != policy.delay(a)));
     }
 
+    /// Reads one whole request: the head up to the blank line, then
+    /// `Content-Length` bytes of body. Replying before the body has
+    /// arrived would let the close reset the connection under the
+    /// client's response read. Returns the head.
+    fn read_request(s: &mut std::net::TcpStream) -> String {
+        let mut raw = Vec::new();
+        let mut buf = [0u8; 4096];
+        let head_end = loop {
+            if let Some(at) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+                break at + 4;
+            }
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed inside the request head");
+            raw.extend_from_slice(&buf[..n]);
+        };
+        let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
+        let body_len: usize = head
+            .lines()
+            .find_map(|l| {
+                let (name, value) = l.split_once(':')?;
+                name.eq_ignore_ascii_case("content-length")
+                    .then(|| value.trim().parse().unwrap())
+            })
+            .unwrap_or(0);
+        while raw.len() < head_end + body_len {
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed inside the request body");
+            raw.extend_from_slice(&buf[..n]);
+        }
+        head
+    }
+
     /// A single-thread fake server answering each connection with the
     /// next canned status (closing immediately for status 0 = connect
     /// troubles are exercised separately via an unbound port).
@@ -427,8 +459,7 @@ mod tests {
             let mut served = 0;
             for status in statuses {
                 let (mut s, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                let _ = s.read(&mut buf); // drain the request head
+                read_request(&mut s);
                 let body = format!("{{\"status\":{status}}}");
                 let resp = format!(
                     "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\
@@ -498,9 +529,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let n = s.read(&mut buf).unwrap();
-            let head = String::from_utf8_lossy(&buf[..n]).into_owned();
+            let head = read_request(&mut s);
             let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
             head
         });

@@ -250,16 +250,19 @@ pub fn write_response_conn<W: Write>(
     response: &Response,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
+    // Head and body leave in one write: a second write would wait on
+    // Nagle's algorithm for the peer to acknowledge the head.
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    )
+    .into_bytes();
+    out.extend_from_slice(&response.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 

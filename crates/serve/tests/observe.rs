@@ -188,6 +188,33 @@ fn healthz_reports_version_uptime_and_load_gauges() {
 }
 
 #[test]
+fn keep_alive_requests_do_not_stall_on_delayed_acks() {
+    let daemon = start_daemon("keepalive-latency", 1);
+    let (addr, stop, handle) = start_server(daemon);
+
+    // Back-to-back requests on one connection: a response written in two
+    // pieces would hold its body until the client's delayed ACK of the
+    // head, about 40 ms, on every request after the first few.
+    let mut conn = client::Conn::connect(&addr).unwrap();
+    let mut ms: Vec<f64> = (0..20)
+        .map(|i| {
+            let t0 = std::time::Instant::now();
+            let resp = conn
+                .get("/healthz")
+                .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+            assert_eq!(resp.status, 200);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    // The median, not the tail: a shared host may delay any one request.
+    assert!(ms[ms.len() / 2] < 5.0, "keep-alive latencies {ms:?} ms");
+
+    stop.store(true, Ordering::Relaxed);
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn keep_alive_serves_many_requests_then_enforces_the_budget() {
     let daemon = start_daemon("keepalive", 1);
     let (addr, stop, handle) = start_server(daemon.clone());
